@@ -8,7 +8,11 @@
 // GPU row executes on the *simulated* device, see DESIGN.md) — the
 // reproduction target is the structure: compressed formats ~4x over gold,
 // AVX ~= AVX2 ~= x86 (memory-bound), the wide-vector kernels pulling ahead
-// only on the large case.
+// only on the large case. The x86/avx/avx2/avx512 rows are one compressed
+// kernel instantiated per vector width, and all of them run single-threaded:
+// the paper's KNL avx512 kernel reduced over an OpenMP team inside each
+// evaluation, which this reproduction replaces with pool-level parallelism
+// (DESIGN.md substitutions), so the avx512 row measures one core.
 //
 // Benchmarks register as table2/{7k,300k}/<kernel> on the benchlib harness
 // (--filter/--reps/--json, see --help); the paper tables are report

@@ -60,10 +60,8 @@ int main() {
               100.0 * compressed.stats.xi_zero_fraction);
 
   // 5. Pick the best supported kernel and interpolate.
-  kernels::KernelKind best = kernels::KernelKind::X86;
-  for (const auto kind : kernels::kAllKernelKinds)
-    if (kind != kernels::KernelKind::SimGpu && kernels::kernel_supported(kind)) best = kind;
-  const auto kernel = kernels::make_kernel(best, &dense, &compressed);
+  const auto kernel =
+      kernels::make_kernel(kernels::best_supported_kernel(), &dense, &compressed);
   std::printf("using kernel: %s\n", std::string(kernel->name()).c_str());
 
   util::Rng rng(1);

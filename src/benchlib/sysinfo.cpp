@@ -34,16 +34,11 @@ std::string detect_hostname() {
   return "unknown";
 }
 
-// Mirrors kernels::kernel_supported exactly — CPUID *and* the
-// HDDM_WITH_AVX512 compile gate — without linking the kernels module, so the
-// recorded tier is the one dispatch will actually construct. A CPU with
-// avx512f under a compiler that failed the configure probe reports "avx2":
-// that is what the benchmarks ran.
+// Mirrors kernels::kernel_supported exactly without linking the kernels
+// module, so the recorded tier is the one dispatch will actually construct.
 std::string detect_isa_tier() {
 #if defined(__x86_64__) || defined(__i386__)
-#ifdef HDDM_WITH_AVX512
   if (__builtin_cpu_supports("avx512f")) return "avx512";
-#endif
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return "avx2";
   if (__builtin_cpu_supports("avx")) return "avx";
   return "x86";

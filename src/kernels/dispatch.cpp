@@ -29,11 +29,7 @@ bool kernel_supported(KernelKind kind) {
     case KernelKind::Avx2:
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
     case KernelKind::Avx512:
-#ifdef HDDM_WITH_AVX512
       return __builtin_cpu_supports("avx512f");
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -58,31 +54,14 @@ std::unique_ptr<InterpolationKernel> make_kernel(KernelKind kind, const sg::Dens
   if (!kernel_supported(kind))
     throw std::runtime_error(std::string("kernel not supported on this host: ") +
                              std::string(kernel_name(kind)));
-  switch (kind) {
-    case KernelKind::Gold:
-      if (dense == nullptr) throw std::invalid_argument("gold kernel requires dense grid data");
-      return detail::make_gold_kernel(*dense);
-    case KernelKind::X86:
-    case KernelKind::Avx:
-    case KernelKind::Avx2:
-    case KernelKind::Avx512:
-    case KernelKind::SimGpu:
-      if (compressed == nullptr)
-        throw std::invalid_argument("compressed kernels require compressed grid data");
-      switch (kind) {
-        case KernelKind::X86: return detail::make_x86_kernel(*compressed);
-        case KernelKind::Avx: return detail::make_avx_kernel(*compressed);
-        case KernelKind::Avx2: return detail::make_avx2_kernel(*compressed);
-        case KernelKind::Avx512:
-#ifdef HDDM_WITH_AVX512
-          return detail::make_avx512_kernel(*compressed);
-#else
-          throw std::runtime_error("avx512 kernel disabled at configure time");
-#endif
-        default: return detail::make_simgpu_kernel(*compressed);
-      }
+  if (kind == KernelKind::Gold) {
+    if (dense == nullptr) throw std::invalid_argument("gold kernel requires dense grid data");
+    return detail::make_gold_kernel(*dense);
   }
-  throw std::invalid_argument("unknown kernel kind");
+  if (compressed == nullptr)
+    throw std::invalid_argument("compressed kernels require compressed grid data");
+  if (kind == KernelKind::SimGpu) return detail::make_simgpu_kernel(*compressed);
+  return detail::make_compressed_kernel(kind, *compressed);
 }
 
 }  // namespace hddm::kernels

@@ -5,8 +5,12 @@
 //
 // A kernel is bound to one grid (dense for `gold`, compressed for the rest)
 // and evaluates the full ndofs-vector interpolant at points of [0,1]^d.
-// evaluate() is const and safe to call concurrently from many threads; the
-// scratch each call needs lives in thread-local storage sized to the grid.
+// x86/avx/avx2/avx512 are one chain-walk template instantiated per vector
+// width (compressed.cpp). Every kernel is single-threaded: evaluate() is
+// const, safe to call concurrently from many threads, and deterministic —
+// the same x gives bitwise the same value on every call and thread. The
+// scratch each call needs lives in thread-local storage sized to the grid;
+// parallelism belongs to the callers (the work-stealing pool, batches).
 #pragma once
 
 #include <memory>
@@ -71,8 +75,7 @@ void evaluate_with_gradient(const core::CompressedGridData& grid, const double* 
 bool kernel_supported(KernelKind kind);
 
 /// The widest-vector CPU kernel this host can execute (Avx512 > Avx2 > Avx >
-/// X86), honoring both CPUID and the HDDM_WITH_AVX512 compile gate. The
-/// benchmark harness's recorded ISA tier (benchlib/sysinfo.cpp) mirrors this
+/// X86) by CPUID. The benchmark harness's recorded ISA tier (benchlib/sysinfo.cpp) mirrors this
 /// logic without linking the kernels module; bench drivers print this kernel
 /// directly.
 KernelKind best_supported_kernel();

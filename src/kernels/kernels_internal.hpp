@@ -1,5 +1,5 @@
-// Internal factory hooks connecting dispatch.cpp with the per-ISA
-// translation units (each compiled with its own -m flags).
+// Internal factory hooks connecting dispatch.cpp with the kernel
+// translation units.
 #pragma once
 
 #include <memory>
@@ -9,12 +9,10 @@
 namespace hddm::kernels::detail {
 
 std::unique_ptr<InterpolationKernel> make_gold_kernel(const sg::DenseGridData& dense);
-std::unique_ptr<InterpolationKernel> make_x86_kernel(const core::CompressedGridData& grid);
-std::unique_ptr<InterpolationKernel> make_avx_kernel(const core::CompressedGridData& grid);
-std::unique_ptr<InterpolationKernel> make_avx2_kernel(const core::CompressedGridData& grid);
-#ifdef HDDM_WITH_AVX512
-std::unique_ptr<InterpolationKernel> make_avx512_kernel(const core::CompressedGridData& grid);
-#endif
+/// The x86/avx/avx2/avx512 kernels (compressed.cpp); throws
+/// std::invalid_argument for any other kind.
+std::unique_ptr<InterpolationKernel> make_compressed_kernel(KernelKind kind,
+                                                            const core::CompressedGridData& grid);
 std::unique_ptr<InterpolationKernel> make_simgpu_kernel(const core::CompressedGridData& grid);
 
 /// Computes the xpv scratch (unique basis factors at x) shared by all

@@ -9,11 +9,12 @@
 // backpressure, CPU fallback). Nothing below the server is serving-specific.
 //
 // Hot swap (the zero-downtime contract): the published snapshot is a
-// shared_ptr held behind an atomic seam. publish() builds the incoming
-// snapshot completely off to the side — grids compressed, kernels bound,
-// device attached — and only then swaps the pointer: one atomic store, no
-// lock held while either snapshot is being built or torn down. Readers pin
-// the snapshot with one atomic shared_ptr load per query, so
+// shared_ptr behind a mutex that guards nothing but the pointer. publish()
+// builds the incoming snapshot completely off to the side — grids
+// compressed, kernels bound, device attached — and only then swaps the
+// pointer under the lock; no lock is held while either snapshot is being
+// built or torn down. Readers pin the snapshot with one locked pointer copy
+// per query, so
 //   * a query never observes a half-built snapshot (publication is the
 //     pointer swap, after full construction),
 //   * a query never mixes two snapshots (it holds one pointer for its whole
@@ -31,7 +32,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <version>
 
 #include "core/policy.hpp"
 #include "parallel/device_dispatcher.hpp"
@@ -80,13 +80,14 @@ class PolicyServer {
   [[nodiscard]] bool ready() const { return current() != nullptr; }
 
   /// The currently published snapshot (nullptr before the first publish).
-  /// One atomic load; safe from any thread.
+  /// One locked pointer copy; safe from any thread.
   [[nodiscard]] std::shared_ptr<const Snapshot> current() const;
 
   /// Batched query against the current snapshot: xs holds npoints rows of
   /// the state dimension, out npoints rows of ndofs. Returns the version of
   /// the snapshot that served *every* point of this call (the torn-read
-  /// oracle of the stress tests). Thread-safe; lock-free on the swap seam.
+  /// oracle of the stress tests). Thread-safe; the swap seam locks only for
+  /// the pointer copy.
   std::uint64_t evaluate_batch(int z, std::span<const double> xs, std::span<double> out,
                                std::size_t npoints) const;
 
@@ -112,16 +113,11 @@ class PolicyServer {
 
   ServerOptions opts_;
 
-  // The swap seam. C++20's std::atomic<std::shared_ptr> where the standard
-  // library ships it (GCC >= 12, libc++ >= 15); a mutex-guarded pointer copy
-  // otherwise — same semantics, the lock covers only the pointer copy, never
-  // snapshot construction or destruction.
-#if defined(__cpp_lib_atomic_shared_ptr) && __cpp_lib_atomic_shared_ptr >= 201711L
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
-#else
+  // The swap seam: the lock covers only the pointer copy, never snapshot
+  // construction or destruction. (std::atomic<std::shared_ptr> would do the
+  // same, but libstdc++ implements it with a lock ThreadSanitizer cannot see.)
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Snapshot> snapshot_;
-#endif
   std::atomic<std::uint64_t> next_version_{1};
 
   mutable std::atomic<std::uint64_t> queries_{0};

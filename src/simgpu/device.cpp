@@ -11,10 +11,13 @@ void Device::launch(std::uint32_t grid_dim, std::uint32_t block_dim, std::size_t
   if (shared_bytes > props_.shared_mem_per_block)
     throw std::invalid_argument("Device::launch: shared memory request exceeds device limit");
 
-  ++stats_.launches;
-  stats_.blocks += grid_dim;
-  stats_.thread_invocations +=
-      static_cast<std::uint64_t>(grid_dim) * block_dim * phases.size();
+  {
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.launches;
+    stats_.blocks += grid_dim;
+    stats_.thread_invocations +=
+        static_cast<std::uint64_t>(grid_dim) * block_dim * phases.size();
+  }
 
   std::vector<std::byte> shared(shared_bytes);
   ThreadCtx ctx;

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -56,8 +57,16 @@ class Device {
   explicit Device(DeviceProperties props = {}) : props_(props) {}
 
   [[nodiscard]] const DeviceProperties& properties() const { return props_; }
-  [[nodiscard]] const LaunchStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
+  /// Snapshot of the launch counters. Launches may run concurrently from
+  /// many threads; the counters are updated under a lock.
+  [[nodiscard]] LaunchStats stats() const {
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    return stats_;
+  }
+  void reset_stats() {
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_ = {};
+  }
 
   /// Maximum number of blocks resident at once ("a single wave of blocks",
   /// Sec. V-A) for a given block size.
@@ -74,6 +83,7 @@ class Device {
 
  private:
   DeviceProperties props_;
+  mutable std::mutex stats_mu_;
   LaunchStats stats_;
 };
 

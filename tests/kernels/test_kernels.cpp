@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -169,29 +170,39 @@ TEST(Kernels, BatchMatchesPointwise) {
 }
 
 TEST(Kernels, ThreadSafeConcurrentEvaluation) {
-  // CPU kernels must be callable from many threads at once (the Fig. 2
-  // worker pool does exactly that).
-  const GridFixture fx(4, 3, 8, 55);
-  const auto kernel = make_kernel(KernelKind::X86, &fx.dense, &fx.compressed);
-  const auto gold = make_kernel(KernelKind::Gold, &fx.dense, &fx.compressed);
+  // Every kernel must be callable from many threads at once (the Fig. 2
+  // worker pool does exactly that) and deterministic: each thread's results
+  // equal the same kernel's single-threaded results bit for bit.
+  const int d = 4, nd = 8, npoints = 200, nthreads = 4;
+  const GridFixture fx(d, 3, nd, 55);
+  util::Rng rng(100);
+  std::vector<double> xs(static_cast<std::size_t>(npoints * d));
+  for (auto& v : xs) v = rng.uniform();
 
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      util::Rng rng(100 + t);
-      std::vector<double> value(8), expected(8);
-      for (int trial = 0; trial < 200; ++trial) {
-        const std::vector<double> x = rng.uniform_point(4);
-        kernel->evaluate(x.data(), value.data());
-        gold->evaluate(x.data(), expected.data());
-        for (int dof = 0; dof < 8; ++dof)
-          if (std::fabs(value[dof] - expected[dof]) > 1e-12) failures.fetch_add(1);
-      }
-    });
+  for (const KernelKind kind : supported_kinds()) {
+    SCOPED_TRACE(std::string(kernel_name(kind)));
+    const auto kernel = make_kernel(kind, &fx.dense, &fx.compressed);
+    std::vector<double> expected(static_cast<std::size_t>(npoints * nd));
+    for (int k = 0; k < npoints; ++k) kernel->evaluate(&xs[k * d], &expected[k * nd]);
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < nthreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Each thread starts at a different point, so the threads evaluate
+        // different points at the same time.
+        std::vector<double> value(nd);
+        for (int i = 0; i < npoints; ++i) {
+          const int k = (i + t * npoints / nthreads) % npoints;
+          kernel->evaluate(&xs[k * d], value.data());
+          if (std::memcmp(value.data(), &expected[k * nd], nd * sizeof(double)) != 0)
+            mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0);
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace
