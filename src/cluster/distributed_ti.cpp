@@ -133,6 +133,7 @@ BuiltState build_state_distributed(SimComm group, int z, const core::DynamicMode
     // batched entry point — the same offload pipeline as the single-node
     // driver (AsgPolicy chunks the run into ticketed device batches when a
     // dispatcher is attached).
+    const util::Timer solve_timer;
     std::vector<double> xs(nmine * sd);
     std::vector<double> warm_values(nmine * snd);
     for (std::size_t k = 0; k < nmine; ++k) {
@@ -163,6 +164,7 @@ BuiltState build_state_distributed(SimComm group, int z, const core::DynamicMode
         l2sum += diff * diff;
       }
     }
+    stats.solve_seconds += solve_timer.seconds();
 
     // Merge the level's nodal values within the group (Fig. 2 "merge").
     const std::vector<double> all_values = group.allgatherv(my_values);
@@ -170,7 +172,10 @@ BuiltState build_state_distributed(SimComm group, int z, const core::DynamicMode
       throw std::runtime_error("distributed merge: size mismatch");
     std::copy(all_values.begin(), all_values.end(), dense.surplus_row(n_known));
 
-    sg::hierarchize_tail(dense, n_known);
+    {
+      const util::ScopedAccumulator acc(stats.hierarchize_seconds);
+      sg::hierarchize_tail(dense, n_known);
+    }
 
     if (!scales_ready) {
       for (std::uint32_t p = 0; p < dense.nno; ++p) {

@@ -128,6 +128,19 @@ CompressedGridData compress(const sg::DenseGridData& dense, const CompressOption
     std::copy_n(dense.surplus_row(oldp), dense.ndofs, out.surplus_row(newp));
   }
 
+  // Prefix-block skip table, built backwards: p+1 extends p's block up to
+  // slot f exactly when it matches p in slot f and in every earlier slot.
+  out.skip.assign(static_cast<std::size_t>(dense.nno) * nfreq, 0);
+  for (std::uint32_t p = dense.nno; p-- > 0;) {
+    const std::uint32_t* row = out.chain_row(p);
+    std::uint32_t* skip = out.skip.data() + static_cast<std::size_t>(p) * nfreq;
+    bool same = p + 1 < dense.nno;
+    for (int f = 0; f < nfreq; ++f) {
+      same = same && out.chain_row(p + 1)[f] == row[f];
+      skip[f] = same ? out.skip_row(p + 1)[f] : p + 1;
+    }
+  }
+
   out.stats.dense_bytes = static_cast<std::size_t>(dense.nno) * dim * sizeof(sg::LevelIndex);
   out.stats.compressed_bytes =
       out.xps.size() * sizeof(XpsEntry) + out.chains.size() * sizeof(std::uint32_t);

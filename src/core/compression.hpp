@@ -21,9 +21,12 @@
 //      matrices T_freq encode).
 //
 // Interpolation then computes each unique factor once into the small `xpv`
-// scratch (fits L1 / GPU shared memory) and walks nno * nfreq chain entries
-// instead of nno * d pairs — the ~d/nfreq ≈ one-order-of-magnitude work
-// reduction of Fig. 5.
+// scratch (fits L1 / GPU shared memory) and walks at most nno * nfreq chain
+// entries instead of nno * d pairs — the ~d/nfreq ≈ one-order-of-magnitude
+// work reduction of Fig. 5. Because of the lexicographic order, the points
+// sharing a chain prefix are contiguous; a per-slot skip table lets the walk
+// jump over a whole block once its common prefix factor product is zero
+// (DESIGN.md, "Pruned chain walk").
 #pragma once
 
 #include <cstdint>
@@ -79,6 +82,12 @@ struct CompressedGridData {
   std::vector<XpsEntry> xps;
   /// nno x nfreq chain matrix, row-major; entries index xps, 0 terminates.
   std::vector<std::uint32_t> chains;
+  /// nno x nfreq prefix-block table, row-major: skip[p * nfreq + f] is the
+  /// first point q > p whose chain differs from p's in some slot 0..f (nno
+  /// if none). Every point in [p, q) multiplies the same leading factors in
+  /// the same order, so when p's prefix product is 0.0 after slot f, theirs
+  /// is too and the walk resumes at q. Not part of stats.compressed_bytes.
+  std::vector<std::uint32_t> skip;
   /// Surplus matrix reordered to the compressed point order (nno x ndofs).
   util::aligned_vector<double> surplus;
   /// order[new_position] == original point id in the dense input.
@@ -88,6 +97,9 @@ struct CompressedGridData {
 
   [[nodiscard]] const std::uint32_t* chain_row(std::uint32_t p) const {
     return chains.data() + static_cast<std::size_t>(p) * nfreq;
+  }
+  [[nodiscard]] const std::uint32_t* skip_row(std::uint32_t p) const {
+    return skip.data() + static_cast<std::size_t>(p) * nfreq;
   }
   [[nodiscard]] const double* surplus_row(std::uint32_t p) const {
     return surplus.data() + static_cast<std::size_t>(p) * ndofs;

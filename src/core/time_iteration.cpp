@@ -165,10 +165,14 @@ TimeIterationDriver::BuiltShock TimeIterationDriver::build_shock(int z,
           /*grain=*/1);
     }
 
-    // --- Hierarchize the new nodal values into surpluses.
+    // --- Hierarchize the new nodal values into surpluses, each level-sum
+    // batch spread over the pool (bitwise the serial result).
     {
       const util::ScopedAccumulator acc(stats.hierarchize_seconds);
-      sg::hierarchize_tail(dense, n_known);
+      sg::hierarchize_tail(dense, n_known,
+                           [this](std::size_t n, const std::function<void(std::size_t)>& body) {
+                             parallel::parallel_for(*pool_, 0, n, body, /*grain=*/4);
+                           });
     }
 
     // --- Refinement indicators for the next round.

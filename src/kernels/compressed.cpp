@@ -1,9 +1,18 @@
 // The compressed-format kernels — the `x86`, `avx`, `avx2` and `avx512` rows
 // of Table II and the left panel of the paper's Fig. 5. The unique basis
 // factors are evaluated once into the xpv scratch (which fits L1 for the
-// paper's grids: 237/473 entries in Table I); each point then multiplies at
-// most nfreq chained factors instead of d pairs, reducing the loop
-// complexity from nno*d to nno*nfreq.
+// paper's grids: 237/473 entries in Table I); the walk then multiplies
+// chained factors instead of d pairs per point.
+//
+// Points are sorted by chain, so those sharing a chain prefix form one
+// contiguous block. When a point's running product turns 0.0 at slot f, the
+// skip table (grid.skip, built by core::compress) names the first later
+// point whose chain differs in slots 0..f; every point before it multiplies
+// the same factors in the same order and would get 0.0 as well, so the walk
+// jumps there. Only points whose support holds x and the first point of each
+// dead block are visited, not all nno, and the result is bitwise the
+// unpruned walk's: the surviving points are accumulated in the same order
+// (DESIGN.md, "Pruned chain walk").
 //
 // The four rows share one chain walk, walk<W>, and differ only in the width
 // policy W that adds temp * surplus_row into the value vector:
@@ -117,17 +126,20 @@ template <class W>
   const int nfreq = grid.nfreq;
   std::fill(value, value + nd, 0.0);
 
-  const std::uint32_t* chain = grid.chains.data();
-  for (std::uint32_t p = 0; p < grid.nno; ++p, chain += nfreq) {
+  for (std::uint32_t p = 0, next; p < grid.nno; p = next) {
+    const std::uint32_t* chain = grid.chain_row(p);
     double temp = 1.0;
+    next = p + 1;
     for (int f = 0; f < nfreq; ++f) {
       const std::uint32_t idx = chain[f];
       if (!idx) break;
       temp *= xpv[idx];
-      if (temp == 0.0) break;
+      if (temp == 0.0) {
+        next = grid.skip_row(p)[f];
+        break;
+      }
     }
-    if (temp == 0.0) continue;
-    W::axpy(temp, grid.surplus_row(p), value, nd);
+    if (temp != 0.0) W::axpy(temp, grid.surplus_row(p), value, nd);
   }
 }
 
@@ -213,25 +225,25 @@ void evaluate_with_gradient(const core::CompressedGridData& grid, const double* 
   std::fill(value, value + nd, 0.0);
   std::fill(grad, grad + static_cast<std::size_t>(nd) * d, 0.0);
 
-  const std::uint32_t* chain = grid.chains.data();
-  for (std::uint32_t p = 0; p < grid.nno; ++p, chain += nfreq) {
-    // Forward chain walk — identical to walk<X86Width>, with prefix
-    // products saved for the gradient pass.
+  for (std::uint32_t p = 0, next; p < grid.nno; p = next) {
+    // Forward chain walk — identical to walk<X86Width>, skip included, with
+    // prefix products saved for the gradient pass.
+    const std::uint32_t* chain = grid.chain_row(p);
     double temp = 1.0;
     int len = 0;
-    bool dead = false;
+    next = p + 1;
     for (int f = 0; f < nfreq; ++f) {
       const std::uint32_t idx = chain[f];
       if (!idx) break;
       pre[static_cast<std::size_t>(f)] = temp;
       temp *= xpv[idx];
       if (temp == 0.0) {
-        dead = true;
+        next = grid.skip_row(p)[f];
         break;
       }
       ++len;
     }
-    if (dead) continue;
+    if (temp == 0.0) continue;
     const double* srow = grid.surplus_row(p);
     for (int dof = 0; dof < nd; ++dof) value[dof] += temp * srow[dof];
 

@@ -8,8 +8,8 @@
 // module handles that remapping — everything else uses the 1-based form.)
 #pragma once
 
+#include <bit>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -35,11 +35,19 @@ struct LevelIndex {
 /// The root pair: the level-1 basis function is constant 1.
 inline constexpr LevelIndex kRootPair{1, 1};
 
+/// 2^e as a double, assembled from its exponent bits: the same value as
+/// std::ldexp(1.0, e) without the library call. Valid for normal exponents,
+/// -1022 <= e <= 1023, which covers every level_t (|1 - l| <= 254).
+constexpr double pow2(int e) {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52);
+}
+
 /// Grid-point coordinate per Eq. (6).
 inline double point_coordinate(LevelIndex li) {
   if (li.l == 1) return 0.5;
-  // i * 2^(1-l); for l=2 this yields 0 (i=0) and 1 (i=2).
-  return std::ldexp(static_cast<double>(li.i), 1 - static_cast<int>(li.l));
+  // i * 2^(1-l); for l=2 this yields 0 (i=0) and 1 (i=2). Scaling by a
+  // power of two is exact, so this equals std::ldexp(i, 1 - l) bit for bit.
+  return static_cast<double>(li.i) * pow2(1 - static_cast<int>(li.l));
 }
 
 /// Hat-function evaluation per Eq. (5): phi_{1,1} == 1, otherwise
@@ -47,7 +55,7 @@ inline double point_coordinate(LevelIndex li) {
 inline double hat_value(LevelIndex li, double x) {
   if (li.l == 1) return 1.0;
   const double center = point_coordinate(li);
-  const double scale = std::ldexp(1.0, static_cast<int>(li.l) - 1);
+  const double scale = pow2(static_cast<int>(li.l) - 1);
   const double v = 1.0 - scale * (x > center ? x - center : center - x);
   return v > 0.0 ? v : 0.0;
 }
@@ -68,7 +76,7 @@ inline double hat_derivative(LevelIndex li, double x) {
   if (li.l == 1) return 0.0;
   const double center = point_coordinate(li);
   if (x == center) return 0.0;  // subgradient midpoint at the kink
-  const double scale = std::ldexp(1.0, static_cast<int>(li.l) - 1);
+  const double scale = pow2(static_cast<int>(li.l) - 1);
   const double dist = x > center ? x - center : center - x;
   if (1.0 - scale * dist <= 0.0) return 0.0;  // outside (or on the edge of) support
   return x > center ? -scale : scale;

@@ -25,35 +25,9 @@ void subtract_partial_interpolant(const DenseGridData& grid,
 
 }  // namespace
 
-void hierarchize_in_place(DenseGridData& grid) {
-  // Process points in ascending level-sum order; ties are independent
-  // (same-level-sum basis functions vanish at each other's points).
-  std::vector<std::uint32_t> order(grid.nno);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&grid](std::uint32_t a, std::uint32_t b) {
-    return level_sum(grid.point(a)) < level_sum(grid.point(b));
-  });
+void hierarchize_in_place(DenseGridData& grid) { hierarchize_tail(grid, 0); }
 
-  std::vector<std::uint32_t> processed;
-  processed.reserve(grid.nno);
-  std::size_t pos = 0;
-  while (pos < order.size()) {
-    // All points sharing this level sum form one batch.
-    const int lsum = level_sum(grid.point(order[pos]));
-    std::size_t end = pos;
-    while (end < order.size() && level_sum(grid.point(order[end])) == lsum) ++end;
-
-    for (std::size_t k = pos; k < end; ++k) {
-      const std::uint32_t p = order[k];
-      const auto x = point_coordinates(grid.point(p));
-      subtract_partial_interpolant(grid, processed, x, grid.surplus_row(p));
-    }
-    for (std::size_t k = pos; k < end; ++k) processed.push_back(order[k]);
-    pos = end;
-  }
-}
-
-void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known) {
+void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known, const ForEach& for_each) {
   // The first n_known points hold final surpluses. For the tail to be
   // hierarchizable against them it suffices that (a) the first n_known points
   // form an ancestor-closed grid — then no tail point can be an ancestor of a
@@ -61,7 +35,8 @@ void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known) {
   // processed in ascending level-sum order among themselves, because a basis
   // function is nonzero at another point's node only if it is an
   // every-dimension ancestor of that point, and ancestors have strictly
-  // smaller level sums.
+  // smaller level sums. Ties are independent (same-level-sum basis functions
+  // vanish at each other's points).
   std::vector<std::uint32_t> tail(grid.nno - n_known);
   std::iota(tail.begin(), tail.end(), n_known);
   std::stable_sort(tail.begin(), tail.end(), [&grid](std::uint32_t a, std::uint32_t b) {
@@ -76,12 +51,18 @@ void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known) {
     const int lsum = level_sum(grid.point(tail[pos]));
     std::size_t end = pos;
     while (end < tail.size() && level_sum(grid.point(tail[end])) == lsum) ++end;
-    for (std::size_t k = pos; k < end; ++k) {
-      const std::uint32_t p = tail[k];
+    const auto hierarchize_one = [&](std::size_t k) {
+      const std::uint32_t p = tail[pos + k];
       const auto x = point_coordinates(grid.point(p));
       subtract_partial_interpolant(grid, processed, x, grid.surplus_row(p));
+    };
+    if (for_each) {
+      for_each(end - pos, hierarchize_one);
+    } else {
+      for (std::size_t k = 0; k < end - pos; ++k) hierarchize_one(k);
     }
-    for (std::size_t k = pos; k < end; ++k) processed.push_back(tail[k]);
+    processed.insert(processed.end(), tail.begin() + static_cast<std::ptrdiff_t>(pos),
+                     tail.begin() + static_cast<std::ptrdiff_t>(end));
     pos = end;
   }
 }

@@ -28,11 +28,21 @@ namespace hddm::sg {
 /// incrementally level-by-level instead.
 void hierarchize_in_place(DenseGridData& grid);
 
+/// Runs body(k) for every k in [0, n), in any order and on any threads, and
+/// returns once all calls have finished.
+using ForEach =
+    std::function<void(std::size_t n, const std::function<void(std::size_t)>& body)>;
+
 /// Incremental hierarchization step: given `grid` whose first `n_known`
 /// points already hold surpluses (all with level sum < that of every later
 /// point), converts the nodal values of points [n_known, nno) into surpluses.
 /// Points must be ordered by ascending level sum.
-void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known);
+///
+/// The tail is processed in batches of equal level sum. A batch's points
+/// read only rows that are already final and each writes only its own row,
+/// so `for_each` may run a batch's points concurrently; the result is
+/// bitwise the serial one. An empty `for_each` runs them in turn.
+void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known, const ForEach& for_each = {});
 
 /// Evaluates f at every grid point of `storage` and returns the hierarchized
 /// surplus matrix (point-major). `f` maps a coordinate vector in [0,1]^d to

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
 
 #include "cluster/sim_comm.hpp"
 #include "olg/olg_model.hpp"
@@ -40,6 +41,31 @@ TEST(DistributedTi, SingleRankMatchesSingleProcessDriver) {
     EXPECT_NEAR(dist_history[it].policy_change_linf, ref.history[it].policy_change_linf, 1e-10)
         << "iteration " << it;
     EXPECT_EQ(dist_history[it].total_points, ref.history[it].total_points);
+  }
+}
+
+TEST(DistributedTi, ReportsSolveAndHierarchizeSeconds) {
+  // Each rank times its own point solves (warm starts included, as in the
+  // single-process driver) and its hierarchization; both are parts of the
+  // step's wall time.
+  const olg::OlgModel model = small_model();
+  DistributedOptions opts;
+  opts.base_level = 2;
+  opts.max_iterations = 3;
+  opts.tolerance = 0.0;
+  std::mutex mu;
+  std::vector<core::IterationStats> all;
+  SimCluster::run(3, [&](SimComm world) {
+    const DistributedResult r = run_distributed_time_iteration(world, model, opts);
+    const std::lock_guard<std::mutex> lock(mu);
+    all.insert(all.end(), r.history.begin(), r.history.end());
+  });
+  ASSERT_EQ(all.size(), 9u);
+  for (const core::IterationStats& st : all) {
+    EXPECT_GT(st.solve_seconds, 0.0) << "iteration " << st.iteration;
+    EXPECT_GT(st.hierarchize_seconds, 0.0) << "iteration " << st.iteration;
+    EXPECT_LE(st.solve_seconds + st.hierarchize_seconds, st.seconds)
+        << "iteration " << st.iteration;
   }
 }
 

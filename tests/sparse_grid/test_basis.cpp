@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace hddm::sg {
 namespace {
@@ -171,6 +176,82 @@ TEST(Basis, HatDerivativeMatchesCentralDifferenceOffKinks) {
         const double fd = (hat_value({l, i}, x + h) - hat_value({l, i}, x - h)) / (2 * h);
         EXPECT_NEAR(hat_derivative({l, i}, x), fd, 1e-6)
             << "phi'_(" << int(l) << "," << i << ") at " << x;
+      }
+    }
+  }
+}
+
+// The std::ldexp formulas the call-free basis replaced; the new functions
+// must reproduce them bit for bit.
+double ldexp_point_coordinate(LevelIndex li) {
+  if (li.l == 1) return 0.5;
+  return std::ldexp(static_cast<double>(li.i), 1 - static_cast<int>(li.l));
+}
+
+double ldexp_hat_value(LevelIndex li, double x) {
+  if (li.l == 1) return 1.0;
+  const double center = ldexp_point_coordinate(li);
+  const double scale = std::ldexp(1.0, static_cast<int>(li.l) - 1);
+  const double v = 1.0 - scale * (x > center ? x - center : center - x);
+  return v > 0.0 ? v : 0.0;
+}
+
+double ldexp_hat_derivative(LevelIndex li, double x) {
+  if (li.l == 1) return 0.0;
+  const double center = ldexp_point_coordinate(li);
+  if (x == center) return 0.0;
+  const double scale = std::ldexp(1.0, static_cast<int>(li.l) - 1);
+  const double dist = x > center ? x - center : center - x;
+  if (1.0 - scale * dist <= 0.0) return 0.0;
+  return x > center ? -scale : scale;
+}
+
+TEST(Basis, Pow2IsLdexpOfOne) {
+  for (int e = -1022; e <= 1023; ++e)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pow2(e)),
+              std::bit_cast<std::uint64_t>(std::ldexp(1.0, e)))
+        << "e=" << e;
+}
+
+TEST(Basis, CallFreeBasisMatchesLdexpFormulasBitwise) {
+  util::Rng rng(20261017);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int l = 2; l <= 30; ++l) {
+    const auto lv = static_cast<level_t>(l);
+    // Both boundary pairs at level 2; otherwise the first and last odd index
+    // and a few random odd ones.
+    std::vector<index_t> indices;
+    if (l == 2) {
+      indices = {0, 2};
+    } else {
+      const index_t top = (index_t{1} << (l - 1)) - 1;
+      indices = {1, top};
+      for (int k = 0; k < 4; ++k)
+        indices.push_back(2 * static_cast<index_t>(rng.uniform_index(top / 2 + 1)) + 1);
+    }
+    for (const index_t i : indices) {
+      const LevelIndex li{lv, i};
+      ASSERT_TRUE(is_valid_pair(li));
+      const double center = ldexp_point_coordinate(li);
+      EXPECT_EQ(bits(point_coordinate(li)), bits(center));
+
+      // Random x, dyadic x at this and nearby levels, the node itself, its
+      // support edges, the next doubles around the node, 0 and 1.
+      std::vector<double> xs{0.0, 1.0, center, std::nextafter(center, 0.0),
+                             std::nextafter(center, 1.0), center - std::ldexp(1.0, 1 - l),
+                             center + std::ldexp(1.0, 1 - l)};
+      for (int k = 0; k < 16; ++k) xs.push_back(rng.uniform());
+      for (const int m : {l - 1, l, l + 1, l + 7}) {
+        for (int k = 0; k < 4; ++k) {
+          const double steps = std::ldexp(1.0, m);
+          xs.push_back(std::floor(rng.uniform() * steps) / steps);
+        }
+      }
+      for (const double x : xs) {
+        EXPECT_EQ(bits(hat_value(li, x)), bits(ldexp_hat_value(li, x)))
+            << "phi_(" << l << "," << i << ") at " << x;
+        EXPECT_EQ(bits(hat_derivative(li, x)), bits(ldexp_hat_derivative(li, x)))
+            << "phi'_(" << l << "," << i << ") at " << x;
       }
     }
   }

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
+#include "parallel/parallel_for.hpp"
 #include "sparse_grid/adaptive.hpp"
 #include "sparse_grid/interpolate.hpp"
 #include "sparse_grid/regular.hpp"
@@ -167,6 +169,62 @@ TEST(Hierarchize, AdaptiveGridRemainsInterpolatory) {
     const auto x = g.coordinates(p);
     reference_interpolate(refined, x, value);
     EXPECT_NEAR(value[0], f(x)[0], 1e-11);
+  }
+}
+
+TEST(Hierarchize, PooledTailEqualsSerialTailBitwise) {
+  // A multi-level adaptive grid: level 3 plus three refinement rounds around
+  // a kink, so the tail spans several level-sum batches of uneven size.
+  const int d = 3;
+  const auto f = [](std::span<const double> x) {
+    return std::vector<double>{std::fabs(x[0] - 0.3) * (1.0 + x[1] * x[2]),
+                               std::sin(3.0 * x[1]) * std::fabs(x[2] - 0.6) + x[0]};
+  };
+  GridStorage g(d);
+  build_regular_grid(g, 3);
+  const std::uint32_t n_regular = g.size();
+  std::uint32_t first = 0;  // refine the newest round's points, as the driver does
+  for (int round = 0; round < 3; ++round) {
+    const DenseGridData h = hierarchize_function(g, 2, f);
+    const auto indicators = max_abs_indicator(
+        std::span<const double>(h.surplus.data(), h.surplus.size()), h.nno, 2);
+    RefinementOptions opts;
+    opts.epsilon = 1e-3;
+    opts.max_level = 7;
+    const std::uint32_t size_before = g.size();
+    refine_by_surplus(g, first, std::span<const double>(indicators).subspan(first), opts);
+    first = size_before;
+  }
+  ASSERT_GT(g.size(), 2 * n_regular);
+
+  DenseGridData nodal = make_dense_grid(g, 2);
+  for (std::uint32_t p = 0; p < g.size(); ++p) {
+    const auto fv = f(g.coordinates(p));
+    std::copy(fv.begin(), fv.end(), nodal.surplus_row(p));
+  }
+
+  parallel::WorkStealingPool pool(3);
+  const ForEach on_pool = [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
+    parallel::parallel_for(pool, 0, n, body, /*grain=*/1);
+  };
+  // From scratch, and on top of a known ancestor-closed regular prefix.
+  for (const std::uint32_t n_known : {0u, n_regular}) {
+    DenseGridData serial = nodal;
+    DenseGridData pooled = nodal;
+    if (n_known > 0) {
+      DenseGridData head = nodal;
+      head.nno = n_known;
+      head.pairs.resize(static_cast<std::size_t>(n_known) * d);
+      head.surplus.resize(static_cast<std::size_t>(n_known) * 2);
+      hierarchize_in_place(head);
+      std::copy(head.surplus.begin(), head.surplus.end(), serial.surplus.begin());
+      std::copy(head.surplus.begin(), head.surplus.end(), pooled.surplus.begin());
+    }
+    hierarchize_tail(serial, n_known);
+    hierarchize_tail(pooled, n_known, on_pool);
+    ASSERT_EQ(0, std::memcmp(serial.surplus.data(), pooled.surplus.data(),
+                             serial.surplus.size() * sizeof(double)))
+        << "n_known=" << n_known;
   }
 }
 
