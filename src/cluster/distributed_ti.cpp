@@ -6,9 +6,7 @@
 #include <stdexcept>
 
 #include "cluster/group_assign.hpp"
-#include "sparse_grid/adaptive.hpp"
-#include "sparse_grid/hierarchize.hpp"
-#include "sparse_grid/regular.hpp"
+#include "core/level_builder.hpp"
 #include "util/timer.hpp"
 
 namespace hddm::cluster {
@@ -20,188 +18,41 @@ using core::PolicyEvaluator;
 
 /// Flat double encoding of a finished shock grid:
 /// [state, nno, dim, ndofs, pairs(l,i as doubles)..., surpluses...].
-std::vector<double> serialize_shock(int state, const sg::GridStorage& storage, int ndofs,
-                                    std::span<const double> surpluses) {
-  const int d = storage.dim();
-  const std::uint32_t nno = storage.size();
-  std::vector<double> blob;
-  blob.reserve(4 + static_cast<std::size_t>(nno) * (2 * d + ndofs));
+void serialize_shock(int state, const sg::DenseGridData& grid, std::vector<double>& blob) {
   blob.push_back(static_cast<double>(state));
-  blob.push_back(static_cast<double>(nno));
-  blob.push_back(static_cast<double>(d));
-  blob.push_back(static_cast<double>(ndofs));
-  const auto pairs = storage.flat_pairs();
-  for (const auto& li : pairs) {
+  blob.push_back(static_cast<double>(grid.nno));
+  blob.push_back(static_cast<double>(grid.dim));
+  blob.push_back(static_cast<double>(grid.ndofs));
+  for (const sg::LevelIndex& li : grid.pairs) {
     blob.push_back(static_cast<double>(li.l));
     blob.push_back(static_cast<double>(li.i));
   }
-  blob.insert(blob.end(), surpluses.begin(), surpluses.end());
-  return blob;
+  blob.insert(blob.end(), grid.surplus.begin(), grid.surplus.end());
 }
 
-struct DeserializedShock {
-  int state = 0;
-  sg::GridStorage storage{1};
-  std::vector<double> surpluses;
-  std::size_t consumed = 0;
-};
+/// Decodes one serialize_shock() record at the front of `blob` into a dense
+/// grid (point order preserved) and advances `blob` past it.
+sg::DenseGridData deserialize_shock(std::span<const double>& blob, int& state) {
+  if (blob.size() < 4) throw std::runtime_error("distributed merge: truncated header");
+  state = static_cast<int>(blob[0]);
+  sg::DenseGridData grid;
+  grid.nno = static_cast<std::uint32_t>(blob[1]);
+  grid.dim = static_cast<int>(blob[2]);
+  grid.ndofs = static_cast<int>(blob[3]);
+  const std::size_t npairs = static_cast<std::size_t>(grid.nno) * static_cast<std::size_t>(grid.dim);
+  const std::size_t nsurplus =
+      static_cast<std::size_t>(grid.nno) * static_cast<std::size_t>(grid.ndofs);
+  if (blob.size() < 4 + 2 * npairs + nsurplus)
+    throw std::runtime_error("distributed merge: truncated body");
 
-DeserializedShock deserialize_shock(std::span<const double> blob) {
-  if (blob.size() < 4) throw std::runtime_error("deserialize_shock: truncated header");
-  DeserializedShock out;
-  out.state = static_cast<int>(blob[0]);
-  const auto nno = static_cast<std::uint32_t>(blob[1]);
-  const int d = static_cast<int>(blob[2]);
-  const int ndofs = static_cast<int>(blob[3]);
-  const std::size_t need = 4 + static_cast<std::size_t>(nno) * (2 * static_cast<std::size_t>(d) +
-                                                               static_cast<std::size_t>(ndofs));
-  if (blob.size() < need) throw std::runtime_error("deserialize_shock: truncated body");
-
-  out.storage = sg::GridStorage(d);
-  out.storage.reserve(nno);
-  sg::MultiIndex mi(static_cast<std::size_t>(d));
-  std::size_t pos = 4;
-  for (std::uint32_t p = 0; p < nno; ++p) {
-    for (int t = 0; t < d; ++t) {
-      mi[static_cast<std::size_t>(t)].l = static_cast<sg::level_t>(blob[pos++]);
-      mi[static_cast<std::size_t>(t)].i = static_cast<sg::index_t>(blob[pos++]);
-    }
-    out.storage.insert(mi);
-  }
-  out.surpluses.assign(blob.begin() + static_cast<std::ptrdiff_t>(pos),
-                       blob.begin() + static_cast<std::ptrdiff_t>(need));
-  out.consumed = need;
-  return out;
-}
-
-/// Builds one state's grid within a group communicator. Returns the storage
-/// and final surpluses (identical on every group rank).
-struct BuiltState {
-  sg::GridStorage storage{1};
-  std::vector<double> surpluses;
-  std::uint32_t failures = 0;
-};
-
-BuiltState build_state_distributed(SimComm group, int z, const core::DynamicModel& model,
-                                   const PolicyEvaluator& p_next,
-                                   const DistributedOptions& opts,
-                                   core::IterationStats& stats) {
-  const int d = model.state_dim();
-  const int nd = model.ndofs();
-  const int nd_ind = model.indicator_dofs();
-
-  BuiltState built;
-  built.storage = sg::GridStorage(d);
-  sg::GridStorage& storage = built.storage;
-
-  sg::DenseGridData dense;
-  dense.dim = d;
-  dense.ndofs = nd;
-
-  std::vector<double> dof_scale(static_cast<std::size_t>(nd_ind), 0.0);
-  bool scales_ready = false;
-  std::vector<double> last_indicators;
-  std::uint32_t last_first = 0;
-  double linf = stats.policy_change_linf;
-  double l2sum = 0.0;
-
-  for (int level = 1; level <= opts.max_level; ++level) {
-    const std::uint32_t n_known = storage.size();
-    if (level <= opts.base_level) {
-      sg::append_level_increment(storage, level);
-    } else {
-      if (opts.refine_epsilon <= 0.0) break;
-      const sg::RefinementOptions ropts{opts.refine_epsilon, opts.max_level, true};
-      sg::refine_by_surplus(storage, last_first, last_indicators, ropts);
-    }
-    const std::uint32_t n_new = storage.size() - n_known;
-    if (n_new == 0) break;
-
-    const auto flat = storage.flat_pairs();
-    dense.pairs.assign(flat.begin(), flat.end());
-    dense.nno = storage.size();
-    dense.surplus.resize(static_cast<std::size_t>(dense.nno) * nd, 0.0);
-
-    // Block partition of the level's points over group ranks.
-    const Range mine = block_partition(n_new, group.size(), group.rank());
-    const auto nmine = static_cast<std::size_t>(mine.size());
-    const auto sd = static_cast<std::size_t>(d);
-    const auto snd = static_cast<std::size_t>(nd);
-    std::vector<double> my_values(nmine * snd, 0.0);
-
-    // Warm starts for the rank's whole block, evaluated en bloc through the
-    // batched entry point — the same offload pipeline as the single-node
-    // driver (AsgPolicy chunks the run into ticketed device batches when a
-    // dispatcher is attached).
-    const util::Timer solve_timer;
-    std::vector<double> xs(nmine * sd);
-    std::vector<double> warm_values(nmine * snd);
-    for (std::size_t k = 0; k < nmine; ++k) {
-      const auto id = static_cast<std::uint32_t>(n_known + mine.begin + k);
-      const std::vector<double> x_unit = storage.coordinates(id);
-      std::copy(x_unit.begin(), x_unit.end(), xs.begin() + static_cast<std::ptrdiff_t>(k * sd));
-    }
-    p_next.evaluate_batch(z, xs, warm_values, nmine);
-    stats.interpolations += nmine;
-
-    for (std::uint64_t k = mine.begin; k < mine.end; ++k) {
-      const std::size_t local = static_cast<std::size_t>(k - mine.begin);
-      const std::span<const double> x_unit(xs.data() + local * sd, sd);
-      const std::span<const double> warm(warm_values.data() + local * snd, snd);
-      core::PointSolveResult res = model.solve_point(z, x_unit, p_next, warm);
-      if (!res.converged) ++built.failures;
-      stats.interpolations += static_cast<std::uint64_t>(res.interpolations);
-      stats.solver_gathers += static_cast<std::uint64_t>(res.gathers);
-      stats.record_jacobian(res.jacobian);
-      std::copy(res.dofs.begin(), res.dofs.end(),
-                my_values.begin() + static_cast<std::ptrdiff_t>((k - mine.begin) * nd));
-
-      for (int dof = 0; dof < nd_ind; ++dof) {
-        const double diff = std::fabs(res.dofs[static_cast<std::size_t>(dof)] -
-                                      warm[static_cast<std::size_t>(dof)]) /
-                            (1.0 + std::fabs(warm[static_cast<std::size_t>(dof)]));
-        linf = std::max(linf, diff);
-        l2sum += diff * diff;
-      }
-    }
-    stats.solve_seconds += solve_timer.seconds();
-
-    // Merge the level's nodal values within the group (Fig. 2 "merge").
-    const std::vector<double> all_values = group.allgatherv(my_values);
-    if (all_values.size() != static_cast<std::size_t>(n_new) * nd)
-      throw std::runtime_error("distributed merge: size mismatch");
-    std::copy(all_values.begin(), all_values.end(), dense.surplus_row(n_known));
-
-    {
-      const util::ScopedAccumulator acc(stats.hierarchize_seconds);
-      sg::hierarchize_tail(dense, n_known);
-    }
-
-    if (!scales_ready) {
-      for (std::uint32_t p = 0; p < dense.nno; ++p) {
-        const double* row = dense.surplus_row(p);
-        for (int dof = 0; dof < nd_ind; ++dof)
-          dof_scale[static_cast<std::size_t>(dof)] =
-              std::max(dof_scale[static_cast<std::size_t>(dof)], std::fabs(row[dof]));
-      }
-      for (double& s : dof_scale) s = std::max(s, 1e-8);
-      scales_ready = true;
-    }
-    last_first = n_known;
-    last_indicators.assign(n_new, 0.0);
-    for (std::uint32_t k = 0; k < n_new; ++k) {
-      const double* row = dense.surplus_row(n_known + k);
-      double g = 0.0;
-      for (int dof = 0; dof < nd_ind; ++dof)
-        g = std::max(g, std::fabs(row[dof]) / dof_scale[static_cast<std::size_t>(dof)]);
-      last_indicators[k] = g;
-    }
-  }
-
-  stats.policy_change_linf = linf;
-  stats.policy_change_l2 += l2sum;  // normalized by the caller
-  built.surpluses.assign(dense.surplus.begin(), dense.surplus.end());
-  return built;
+  grid.pairs.resize(npairs);
+  for (std::size_t k = 0; k < npairs; ++k)
+    grid.pairs[k] = {static_cast<sg::level_t>(blob[4 + 2 * k]),
+                     static_cast<sg::index_t>(blob[5 + 2 * k])};
+  const auto surplus = blob.subspan(4 + 2 * npairs, nsurplus);
+  grid.surplus.assign(surplus.begin(), surplus.end());
+  blob = blob.subspan(4 + 2 * npairs + nsurplus);
+  return grid;
 }
 
 }  // namespace
@@ -241,30 +92,40 @@ std::shared_ptr<AsgPolicy> distributed_step(SimComm world, const core::DynamicMo
     for (int z = world.rank(); z < Ns; z += nranks) my_states.push_back(z);
   }
 
-  // Build owned states and serialize them.
+  // The group's ranks solve block partitions of every level's new points on
+  // one thread each and allgather the nodal rows; the rest of the level loop
+  // runs redundantly on every group rank.
+  core::LevelPlan plan;
+  plan.base_level = options.base_level;
+  plan.refine_epsilon = options.refine_epsilon;
+  plan.max_level = options.max_level;
+  plan.warm_chunk = options.offload.max_batch;
+  plan.share = [&group](std::size_t n_new) {
+    const Range r = block_partition(n_new, group.size(), group.rank());
+    return std::pair<std::size_t, std::size_t>{r.begin, r.end};
+  };
+  plan.merge = [&group](std::span<const double> mine, std::span<double> level) {
+    const std::vector<double> all = group.allgatherv(mine);
+    if (all.size() != level.size()) throw std::runtime_error("distributed merge: size mismatch");
+    std::copy(all.begin(), all.end(), level.begin());
+  };
+
+  // Build owned states; group rank 0 contributes each to the world exchange
+  // (the other group ranks hold identical copies and send nothing).
   std::vector<double> my_blob;
   for (const int z : my_states) {
-    BuiltState built = build_state_distributed(group, z, model, p_next, options, stats);
-    stats.solver_failures += built.failures;
-    // Group rank 0 contributes the state to the world exchange; others send
-    // nothing (their copy is identical).
-    if (group.rank() == 0) {
-      const std::vector<double> blob =
-          serialize_shock(z, built.storage, model.ndofs(), built.surpluses);
-      my_blob.insert(my_blob.end(), blob.begin(), blob.end());
-    }
+    const sg::DenseGridData grid = core::build_shock_grid(model, z, p_next, plan, stats);
+    if (group.rank() == 0) serialize_shock(z, grid, my_blob);
   }
 
-  // World-wide policy merge.
+  // World-wide policy merge: every rank adopts every state's dense grid.
   const std::vector<double> all_blobs = world.allgatherv(my_blob);
   std::vector<std::unique_ptr<core::ShockGrid>> grids(static_cast<std::size_t>(Ns));
-  std::size_t pos = 0;
-  while (pos < all_blobs.size()) {
-    DeserializedShock shock =
-        deserialize_shock(std::span<const double>(all_blobs).subspan(pos));
-    pos += shock.consumed;
-    grids[static_cast<std::size_t>(shock.state)] = std::make_unique<core::ShockGrid>(
-        shock.storage, model.ndofs(), shock.surpluses, options.kernel);
+  for (std::span<const double> rest(all_blobs); !rest.empty();) {
+    int state = 0;
+    sg::DenseGridData grid = deserialize_shock(rest, state);
+    grids[static_cast<std::size_t>(state)] =
+        std::make_unique<core::ShockGrid>(std::move(grid), options.kernel);
   }
   for (int z = 0; z < Ns; ++z)
     if (grids[static_cast<std::size_t>(z)] == nullptr)

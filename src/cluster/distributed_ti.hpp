@@ -4,19 +4,24 @@
 // Per time step, every rank:
 //   1. sizes the per-state MPI groups proportionally to the previous
 //      iteration's grid sizes (Sec. IV-A) and splits the world communicator;
-//   2. builds its state's ASG level by level: the level's new points are
-//      block-partitioned over the group's ranks, each rank solves its block
-//      (given p_next), and the nodal values are allgathered within the
-//      group; hierarchization and (deterministic) adaptive refinement then
-//      run redundantly on every group rank, keeping the grids bit-identical
-//      without further communication;
-//   3. serializes its state's finished grid and exchanges it world-wide
-//      (the "merge policy" step), so every rank holds the complete policy
+//   2. builds its state's ASG with the shared level builder
+//      (core/level_builder.hpp), choosing the distributed solve stage: each
+//      level's new points are block-partitioned over the group's ranks, each
+//      rank solves its block serially (given p_next), and the nodal values
+//      are allgathered within the group; hierarchization and (deterministic)
+//      adaptive refinement then run redundantly on every group rank, keeping
+//      the grids bit-identical without further communication;
+//   3. serializes its state's finished dense grid and exchanges it
+//      world-wide (the "merge policy" step); every rank adopts the received
+//      dense grids as-is, so it holds the complete policy
 //      p = (p(1), ..., p(Ns)) for the next iteration;
 //   4. synchronizes on a world barrier (footnote 4).
 //
 // With fewer ranks than states, a rank serializes several states (each rank
-// forms a singleton group per state).
+// forms a singleton group per state). On one rank the step equals
+// core::TimeIterationDriver::step bit for bit: same surpluses, counters and
+// policy-change norms. Invalid level options throw std::invalid_argument on
+// every rank from the builder, before any level communication.
 #pragma once
 
 #include <functional>

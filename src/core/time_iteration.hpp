@@ -1,13 +1,16 @@
 // Time iteration (Algorithm 1) with per-shock adaptive sparse grids and the
 // single-node part of the hybrid parallelization scheme of Sec. IV-A.
 //
-// Each iteration rebuilds every shock's ASG level by level: solve the
-// equilibrium system at the level's new points (work-stealing pool, optional
-// device offload of p_next interpolations), hierarchize the new surpluses
-// incrementally, refine adaptively where the surplus indicator exceeds the
-// threshold epsilon, and stop at the level cap. Convergence is measured as
-// the change between successive policies on the asset-demand coefficients.
-// The distributed (multi-rank) variant lives in src/cluster/.
+// Each iteration rebuilds every shock's ASG through the shared level builder
+// (core/level_builder.hpp): solve the equilibrium at each level's new points,
+// hierarchize the new surpluses incrementally, refine adaptively where the
+// surplus indicator exceeds the threshold epsilon, and stop at the level cap.
+// This driver hands the builder the node's work-stealing pool as the runner
+// of the warm starts, point solves and hierarchization batches, solves every
+// point itself (no merge), and offloads p_next interpolations to the device
+// when one is attached. Convergence is measured as the change between
+// successive policies on the asset-demand coefficients. The distributed
+// (multi-rank) driver in src/cluster/ calls the same builder.
 #pragma once
 
 #include <functional>
@@ -109,7 +112,7 @@ struct IterationStats {
     gradient_gathers = delta.gradient_gathers;
   }
   /// Accumulates one point solve's Jacobian-provider counters (called by
-  /// both drivers for every PointSolveResult).
+  /// the level builder for every PointSolveResult, in point order).
   void record_jacobian(const solver::JacobianStats& js) {
     jacobian_mode = js.mode;
     jacobian_refreshes_analytic += static_cast<std::uint64_t>(js.analytic_refreshes);
@@ -161,16 +164,6 @@ class TimeIterationDriver {
   std::function<void(const IterationStats&)> on_iteration;
 
  private:
-  /// Builds one shock's grid + surpluses by level-wise solve/refine.
-  struct BuiltShock {
-    std::unique_ptr<ShockGrid> grid;
-    std::uint32_t solver_failures = 0;
-    std::uint64_t interpolations = 0;
-    std::uint64_t gathers = 0;
-    solver::JacobianStats jacobian;  ///< summed over the shock's point solves
-  };
-  BuiltShock build_shock(int z, const PolicyEvaluator& p_next, IterationStats& stats);
-
   const DynamicModel& model_;
   TimeIterationOptions opts_;
   std::unique_ptr<parallel::WorkStealingPool> pool_;

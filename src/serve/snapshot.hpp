@@ -1,12 +1,12 @@
-// Immutable, versioned policy snapshots — ROADMAP item 1's persistence leg.
+// Immutable, versioned policy snapshots — the one binary policy format.
 //
-// A converged core::AsgPolicy used to die with the process; a snapshot makes
-// it a durable, self-describing artifact a serving front end (PolicyServer,
-// the hddm-serve example) can load on any host. Contrast with
-// core::checkpoint, the *solve-side* restart format: snapshots add framing
-// for long-lived artifacts — format version for skew detection, a CRC over
-// the whole payload, and provenance metadata (model, params, git SHA, ISA
-// tier) — and validate all of it on load with typed errors.
+// A snapshot makes a core::AsgPolicy a durable, self-describing artifact:
+// a serving front end (PolicyServer, the hddm-serve example) loads it on any
+// host, and a solve restarts from it (the paper's restart-from-coarser-grid
+// protocol, Sec. V-C: load with force_kernel to pin the solve's kernel). The
+// framing carries a format version for skew detection, a CRC over the whole
+// payload, and provenance metadata (model, params, git SHA, ISA tier), and
+// load validates all of it with typed errors.
 //
 // File layout (little-endian, no padding):
 //

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <mutex>
+#include <string>
 
 #include "cluster/sim_comm.hpp"
 #include "olg/olg_model.hpp"
@@ -15,32 +18,99 @@ olg::OlgModel small_model() {
   return olg::OlgModel(olg::build_economy(olg::reduced_calibration(4, 2, 1)));
 }
 
+/// The regular and the adaptive level schedules the parity tests run.
+std::vector<DistributedOptions> parity_inputs(int max_iterations) {
+  DistributedOptions regular;
+  regular.base_level = 2;
+  regular.max_iterations = max_iterations;
+  regular.tolerance = 0.0;
+  DistributedOptions adaptive = regular;
+  adaptive.refine_epsilon = 1e-2;
+  adaptive.max_level = 4;
+  return {regular, adaptive};
+}
+
+/// Every shock's pairs equal and surpluses equal byte for byte.
+void expect_same_grids(const core::AsgPolicy& a, const core::AsgPolicy& b) {
+  ASSERT_EQ(a.num_shocks(), b.num_shocks());
+  for (int z = 0; z < a.num_shocks(); ++z) {
+    const sg::DenseGridData& da = a.grid(z).dense();
+    const sg::DenseGridData& db = b.grid(z).dense();
+    ASSERT_EQ(da.pairs, db.pairs) << "shock " << z;
+    ASSERT_EQ(da.surplus.size(), db.surplus.size()) << "shock " << z;
+    EXPECT_EQ(std::memcmp(da.surplus.data(), db.surplus.data(), da.surplus.size() * sizeof(double)),
+              0)
+        << "shock " << z;
+  }
+}
+
 TEST(DistributedTi, SingleRankMatchesSingleProcessDriver) {
   const olg::OlgModel model = small_model();
+  for (const DistributedOptions& dopts : parity_inputs(6)) {
+    SCOPED_TRACE(dopts.refine_epsilon > 0.0 ? "adaptive" : "regular");
 
-  // Distributed run on one rank.
-  DistributedOptions dopts;
-  dopts.base_level = 2;
-  dopts.max_iterations = 6;
-  dopts.tolerance = 0.0;
-  std::vector<core::IterationStats> dist_history;
-  SimCluster::run(1, [&](SimComm world) {
-    const DistributedResult r = run_distributed_time_iteration(world, model, dopts);
-    dist_history = r.history;
-  });
+    // Distributed run on one rank.
+    DistributedResult dist;
+    SimCluster::run(1, [&](SimComm world) {
+      dist = run_distributed_time_iteration(world, model, dopts);
+    });
 
-  // Reference: the shared-memory driver with identical settings.
-  core::TimeIterationOptions sopts;
-  sopts.base_level = 2;
-  sopts.max_iterations = 6;
-  sopts.tolerance = 0.0;
-  const auto ref = core::solve_time_iteration(model, sopts);
+    // Reference: the shared-memory driver with identical settings on a
+    // multi-threaded pool.
+    core::TimeIterationOptions sopts;
+    sopts.base_level = dopts.base_level;
+    sopts.refine_epsilon = dopts.refine_epsilon;
+    sopts.max_level = dopts.max_level;
+    sopts.max_iterations = dopts.max_iterations;
+    sopts.tolerance = dopts.tolerance;
+    sopts.threads = 4;
+    const auto ref = core::solve_time_iteration(model, sopts);
 
-  ASSERT_EQ(dist_history.size(), ref.history.size());
-  for (std::size_t it = 0; it < dist_history.size(); ++it) {
-    EXPECT_NEAR(dist_history[it].policy_change_linf, ref.history[it].policy_change_linf, 1e-10)
-        << "iteration " << it;
-    EXPECT_EQ(dist_history[it].total_points, ref.history[it].total_points);
+    ASSERT_EQ(dist.history.size(), ref.history.size());
+    for (std::size_t it = 0; it < dist.history.size(); ++it) {
+      SCOPED_TRACE("iteration " + std::to_string(it));
+      const core::IterationStats& d = dist.history[it];
+      const core::IterationStats& r = ref.history[it];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d.policy_change_linf),
+                std::bit_cast<std::uint64_t>(r.policy_change_linf));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d.policy_change_l2),
+                std::bit_cast<std::uint64_t>(r.policy_change_l2));
+      EXPECT_EQ(d.total_points, r.total_points);
+      EXPECT_EQ(d.solver_failures, r.solver_failures);
+      EXPECT_EQ(d.interpolations, r.interpolations);
+      EXPECT_EQ(d.solver_gathers, r.solver_gathers);
+      EXPECT_EQ(d.policy_gathers, r.policy_gathers);
+      EXPECT_EQ(d.gathered_requests, r.gathered_requests);
+      EXPECT_EQ(d.jacobian_mode, r.jacobian_mode);
+      EXPECT_EQ(d.jacobian_refreshes_analytic, r.jacobian_refreshes_analytic);
+      EXPECT_EQ(d.jacobian_refreshes_fd, r.jacobian_refreshes_fd);
+      EXPECT_EQ(d.jacobian_columns_analytic, r.jacobian_columns_analytic);
+      EXPECT_EQ(d.jacobian_columns_fd, r.jacobian_columns_fd);
+    }
+    expect_same_grids(*dist.policy, *ref.policy);
+  }
+}
+
+TEST(DistributedTi, RejectsBadOptions) {
+  // Checked by the level builder on every rank before any level's
+  // communication, so each rank throws instead of building an empty or a
+  // capped grid.
+  const olg::OlgModel model = small_model();
+  DistributedOptions no_base;
+  no_base.base_level = 0;
+  DistributedOptions cap_below_base;
+  cap_below_base.base_level = 3;
+  cap_below_base.max_level = 2;
+  for (const DistributedOptions& opts : {no_base, cap_below_base}) {
+    for (const int nranks : {1, 3}) {
+      EXPECT_THROW(SimCluster::run(nranks,
+                                   [&](SimComm world) {
+                                     (void)run_distributed_time_iteration(world, model, opts);
+                                   }),
+                   std::invalid_argument)
+          << "base_level " << opts.base_level << ", max_level " << opts.max_level << ", "
+          << nranks << " ranks";
+    }
   }
 }
 
@@ -75,33 +145,25 @@ TEST_P(DistributedRankCountTest, PolicyIndependentOfRankCount) {
   const int nranks = GetParam();
   const olg::OlgModel model = small_model();
 
-  DistributedOptions opts;
-  opts.base_level = 2;
-  opts.max_iterations = 4;
-  opts.tolerance = 0.0;
+  for (const DistributedOptions& opts : parity_inputs(4)) {
+    SCOPED_TRACE(opts.refine_epsilon > 0.0 ? "adaptive" : "regular");
 
-  // Baseline with 1 rank.
-  std::vector<double> baseline;
-  SimCluster::run(1, [&](SimComm world) {
-    const DistributedResult r = run_distributed_time_iteration(world, model, opts);
-    std::vector<double> v(static_cast<std::size_t>(model.ndofs()));
-    r.policy->evaluate(0, std::vector<double>(3, 0.5), v);
-    baseline = v;
-  });
+    // Baseline with 1 rank.
+    std::shared_ptr<core::AsgPolicy> baseline;
+    SimCluster::run(1, [&](SimComm world) {
+      baseline = run_distributed_time_iteration(world, model, opts).policy;
+    });
 
-  std::vector<std::vector<double>> per_rank(static_cast<std::size_t>(nranks));
-  SimCluster::run(nranks, [&](SimComm world) {
-    const DistributedResult r = run_distributed_time_iteration(world, model, opts);
-    std::vector<double> v(static_cast<std::size_t>(model.ndofs()));
-    r.policy->evaluate(0, std::vector<double>(3, 0.5), v);
-    per_rank[static_cast<std::size_t>(world.rank())] = v;
-  });
+    std::vector<std::shared_ptr<core::AsgPolicy>> per_rank(static_cast<std::size_t>(nranks));
+    SimCluster::run(nranks, [&](SimComm world) {
+      per_rank[static_cast<std::size_t>(world.rank())] =
+          run_distributed_time_iteration(world, model, opts).policy;
+    });
 
-  for (int rank = 0; rank < nranks; ++rank) {
-    ASSERT_EQ(per_rank[static_cast<std::size_t>(rank)].size(), baseline.size());
-    for (std::size_t k = 0; k < baseline.size(); ++k)
-      EXPECT_NEAR(per_rank[static_cast<std::size_t>(rank)][k], baseline[k], 1e-10)
-          << "rank " << rank << " dof " << k;
+    for (int rank = 0; rank < nranks; ++rank) {
+      SCOPED_TRACE("rank " + std::to_string(rank));
+      expect_same_grids(*per_rank[static_cast<std::size_t>(rank)], *baseline);
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "olg/olg_model.hpp"
 #include "sparse_grid/regular.hpp"
@@ -171,25 +173,52 @@ TEST(TimeIteration, AdaptiveRefinementAddsPoints) {
 
 TEST(TimeIteration, MultithreadedMatchesSequential) {
   const ContractionModel model(2, 2, 0.5);
-  TimeIterationOptions seq;
-  seq.base_level = 3;
-  seq.max_iterations = 4;
-  seq.tolerance = 0.0;
-  seq.threads = 1;
-  TimeIterationOptions par = seq;
-  par.threads = 4;
+  TimeIterationOptions regular;
+  regular.base_level = 3;
+  regular.max_iterations = 4;
+  regular.tolerance = 0.0;
+  regular.threads = 1;
+  TimeIterationOptions adaptive = regular;
+  adaptive.base_level = 2;
+  adaptive.refine_epsilon = 1e-3;
+  adaptive.max_level = 5;
 
-  const auto a = solve_time_iteration(model, seq);
-  const auto b = solve_time_iteration(model, par);
-  // Deterministic model + deterministic grid: identical trajectories.
-  for (std::size_t it = 0; it < 4; ++it)
-    EXPECT_NEAR(a.history[it].policy_change_linf, b.history[it].policy_change_linf, 1e-13);
+  for (const TimeIterationOptions& seq : {regular, adaptive}) {
+    SCOPED_TRACE(seq.refine_epsilon > 0.0 ? "adaptive" : "regular");
+    TimeIterationOptions par = seq;
+    par.threads = 4;
+    const auto a = solve_time_iteration(model, seq);
+    const auto b = solve_time_iteration(model, par);
 
-  std::vector<double> va(2), vb(2);
-  const std::vector<double> x{0.3, 0.7};
-  a.policy->evaluate(1, x, va);
-  b.policy->evaluate(1, x, vb);
-  EXPECT_NEAR(va[0], vb[0], 1e-13);
+    // Deterministic model + deterministic grid: identical trajectories, and
+    // per-point records reduced in point order make both policy-change
+    // norms independent of the thread schedule, bit for bit.
+    ASSERT_EQ(a.history.size(), b.history.size());
+    for (std::size_t it = 0; it < a.history.size(); ++it) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.history[it].policy_change_linf),
+                std::bit_cast<std::uint64_t>(b.history[it].policy_change_linf))
+          << "iteration " << it;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.history[it].policy_change_l2),
+                std::bit_cast<std::uint64_t>(b.history[it].policy_change_l2))
+          << "iteration " << it;
+    }
+    for (int z = 0; z < model.num_shocks(); ++z) {
+      const sg::DenseGridData& da = a.policy->grid(z).dense();
+      const sg::DenseGridData& db = b.policy->grid(z).dense();
+      ASSERT_EQ(da.pairs, db.pairs) << "shock " << z;
+      ASSERT_EQ(da.surplus.size(), db.surplus.size()) << "shock " << z;
+      EXPECT_EQ(std::memcmp(da.surplus.data(), db.surplus.data(),
+                            da.surplus.size() * sizeof(double)),
+                0)
+          << "shock " << z;
+    }
+
+    std::vector<double> va(2), vb(2);
+    const std::vector<double> x{0.3, 0.7};
+    a.policy->evaluate(1, x, va);
+    b.policy->evaluate(1, x, vb);
+    EXPECT_NEAR(va[0], vb[0], 1e-13);
+  }
 }
 
 TEST(TimeIteration, DeviceOffloadPipelineMatchesCpuAndReportsCounters) {

@@ -1,15 +1,21 @@
-#include "core/checkpoint.hpp"
-
+// Restart checkpoints of a policy through the snapshot format: the
+// round-trip, heterogeneity, backend and rejection guarantees a solve-side
+// restart relies on.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
 
+#include "serve/snapshot.hpp"
 #include "sparse_grid/regular.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::core {
 namespace {
+
+using kernels::KernelKind;
+using serve::load_snapshot;
+using serve::save_snapshot;
 
 std::shared_ptr<AsgPolicy> make_policy(int nshocks, int d, int level, int ndofs,
                                        std::uint64_t seed) {
@@ -29,8 +35,8 @@ std::shared_ptr<AsgPolicy> make_policy(int nshocks, int d, int level, int ndofs,
 TEST(Checkpoint, RoundTripsThroughStream) {
   const auto original = make_policy(3, 4, 3, 5, 42);
   std::stringstream buffer;
-  save_policy(*original, buffer);
-  const auto restored = load_policy(buffer);
+  save_snapshot(*original, {}, buffer);
+  const auto restored = load_snapshot(buffer, KernelKind::X86).policy;
 
   EXPECT_EQ(restored->num_shocks(), 3);
   EXPECT_EQ(restored->ndofs(), 5);
@@ -51,8 +57,8 @@ TEST(Checkpoint, RoundTripsThroughStream) {
 TEST(Checkpoint, RoundTripsThroughFile) {
   const auto original = make_policy(2, 3, 2, 4, 1);
   const std::string path = ::testing::TempDir() + "/hddm_ckpt_test.bin";
-  save_policy(*original, path);
-  const auto restored = load_policy(path);
+  save_snapshot(*original, {}, path);
+  const auto restored = load_snapshot(path, KernelKind::X86).policy;
   EXPECT_EQ(restored->total_points(), original->total_points());
 
   std::vector<double> a(4), b(4);
@@ -77,16 +83,16 @@ TEST(Checkpoint, PreservesShockHeterogeneity) {
   }
   const AsgPolicy original(2, std::move(grids));
   std::stringstream buffer;
-  save_policy(original, buffer);
-  const auto restored = load_policy(buffer);
+  save_snapshot(original, {}, buffer);
+  const auto restored = load_snapshot(buffer, KernelKind::X86).policy;
   EXPECT_EQ(restored->points_per_shock(), original.points_per_shock());
 }
 
 TEST(Checkpoint, LoadWithDifferentKernelBackend) {
   const auto original = make_policy(1, 3, 3, 2, 5);
   std::stringstream buffer;
-  save_policy(*original, buffer);
-  const auto restored = load_policy(buffer, kernels::KernelKind::Gold);
+  save_snapshot(*original, {}, buffer);
+  const auto restored = load_snapshot(buffer, KernelKind::Gold).policy;
   std::vector<double> a(2), b(2);
   const std::vector<double> x{0.25, 0.5, 0.75};
   original->evaluate(0, x, a);
@@ -97,20 +103,20 @@ TEST(Checkpoint, LoadWithDifferentKernelBackend) {
 TEST(Checkpoint, RejectsGarbage) {
   std::stringstream buffer;
   buffer << "this is not a checkpoint";
-  EXPECT_THROW((void)load_policy(buffer), std::runtime_error);
+  EXPECT_THROW((void)load_snapshot(buffer), std::runtime_error);
 }
 
 TEST(Checkpoint, RejectsTruncated) {
   const auto original = make_policy(2, 3, 3, 4, 3);
   std::stringstream buffer;
-  save_policy(*original, buffer);
+  save_snapshot(*original, {}, buffer);
   const std::string full = buffer.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW((void)load_policy(cut), std::runtime_error);
+  EXPECT_THROW((void)load_snapshot(cut), std::runtime_error);
 }
 
 TEST(Checkpoint, MissingFileThrows) {
-  EXPECT_THROW((void)load_policy(std::string("/nonexistent/path/x.bin")), std::runtime_error);
+  EXPECT_THROW((void)load_snapshot(std::string("/nonexistent/path/x.bin")), std::runtime_error);
 }
 
 }  // namespace

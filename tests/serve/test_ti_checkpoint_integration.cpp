@@ -1,14 +1,14 @@
-// Integration: checkpoint/restart of the time-iteration protocol — save a
-// mid-run policy, reload it in a "fresh process" (new driver), and continue;
-// the restart must continue converging from where it stopped, which is the
-// paper's restart-from-coarser-grid workflow made durable.
+// Integration: checkpoint/restart of the time-iteration protocol — snapshot
+// a mid-run policy, reload it in a "fresh process" (new driver), and
+// continue; the restart must continue converging from where it stopped,
+// which is the paper's restart-from-coarser-grid workflow made durable.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "core/checkpoint.hpp"
 #include "core/time_iteration.hpp"
 #include "olg/olg_model.hpp"
+#include "serve/snapshot.hpp"
 
 namespace hddm::core {
 namespace {
@@ -20,7 +20,7 @@ TEST(CheckpointIntegration, ResumeContinuesConverging) {
   opts.base_level = 2;
   opts.tolerance = 0.0;  // fixed iteration counts
 
-  // Phase 1: run 4 iterations, checkpoint.
+  // Phase 1: run 4 iterations, snapshot.
   TimeIterationDriver driver1(model, opts);
   const InitialPolicyEvaluator initial(model);
   std::shared_ptr<AsgPolicy> policy;
@@ -35,10 +35,12 @@ TEST(CheckpointIntegration, ResumeContinuesConverging) {
     }
   }
   std::stringstream buffer;
-  save_policy(*policy, buffer);
+  serve::save_snapshot(*policy, {}, buffer);
 
   // Phase 2: reload into a fresh driver and continue.
-  const std::shared_ptr<AsgPolicy> restored = load_policy(buffer);
+  // The solve's own kernel, so the continuation below is bitwise comparable.
+  const std::shared_ptr<AsgPolicy> restored =
+      serve::load_snapshot(buffer, kernels::KernelKind::X86).policy;
   TimeIterationDriver driver2(model, opts);
   IterationStats stats;
   const auto next = driver2.step(*restored, stats);
@@ -66,8 +68,8 @@ TEST(CheckpointIntegration, RestartWithFinerGridsMatchesPaperProtocol) {
   const auto stage1 = solve_time_iteration(model, coarse);
 
   std::stringstream buffer;
-  save_policy(*stage1.policy, buffer);
-  const auto restored = load_policy(buffer);
+  serve::save_snapshot(*stage1.policy, {}, buffer);
+  const auto restored = serve::load_snapshot(buffer, kernels::KernelKind::X86).policy;
 
   TimeIterationOptions fine;
   fine.base_level = 3;
